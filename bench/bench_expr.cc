@@ -62,15 +62,6 @@ void DumpSummary(const std::vector<RunPoint>& points, size_t table_rows) {
   std::fclose(f);
 }
 
-Measured BestOf3(Database* db, const std::string& sql) {
-  Measured best;
-  for (int rep = 0; rep < 3; ++rep) {
-    Measured m = RunMeasured(db, sql);
-    if (rep == 0 || m.millis < best.millis) best = m;
-  }
-  return best;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {

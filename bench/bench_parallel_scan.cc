@@ -93,12 +93,8 @@ int main() {
     double serial_ms = 0;
     for (size_t par : {1, 2, 4, 8}) {
       db.set_parallelism(par);
-      // Median-ish of 3: the first run also warms allocator state.
-      Measured best;
-      for (int rep = 0; rep < 3; ++rep) {
-        Measured m = RunMeasured(&db, q.sql);
-        if (rep == 0 || m.millis < best.millis) best = m;
-      }
+      // Best of 3: the first run also warms allocator state.
+      Measured best = BestOf3(&db, q.sql);
       if (par == 1) serial_ms = best.millis;
       RunPoint p;
       p.query_label = q.label;

@@ -118,6 +118,15 @@ Measured RunMeasured(Database* db, const std::string& sql) {
   return RunPlanMeasured(db, *plan);
 }
 
+Measured BestOf3(Database* db, const std::string& sql) {
+  Measured best;
+  for (int rep = 0; rep < 3; ++rep) {
+    Measured m = RunMeasured(db, sql);
+    if (rep == 0 || m.millis < best.millis) best = m;
+  }
+  return best;
+}
+
 PlannedOnly PlanMeasured(Database* db, const std::string& sql) {
   PlannedOnly p;
   OptimizeInfo info;

@@ -53,6 +53,9 @@ struct Measured {
 /// Aborts the process on error (benchmark context).
 Measured RunMeasured(Database* db, const std::string& sql);
 
+/// RunMeasured three times; returns the run with the lowest wall time.
+Measured BestOf3(Database* db, const std::string& sql);
+
 /// Executes an already-built plan on a cold cache.
 Measured RunPlanMeasured(Database* db, const PhysicalNode& plan);
 

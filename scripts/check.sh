@@ -72,7 +72,7 @@ echo "== tsan build (concurrency tests) =="
 cmake -B build-tsan -S . -DRELOPT_TSAN=ON >/dev/null
 cmake --build build-tsan -j "$JOBS"
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'ThreadPool|BufferPoolStress|ParallelDifferential|Vectorized|Aggregate|Metrics|QueryHistory|Introspection|LoggingConcurrency|PlanCache|PreparedStatement|SessionConcurrency|SessionHistory|Feedback'
+  -R 'ThreadPool|BufferPoolStress|ParallelDifferential|Vectorized|Aggregate|Executor|JoinExec|SortExec|Metrics|QueryHistory|Introspection|LoggingConcurrency|PlanCache|PreparedStatement|SessionConcurrency|SessionHistory|Feedback'
 
 echo "== metrics smoke (tsan) =="
 # Same attribution check with instrumented atomics: counter updates come from

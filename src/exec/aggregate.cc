@@ -23,8 +23,8 @@ Status AccumulateIntSum(int64_t addend, AggFunc func, AggAccumulator* acc) {
   return Status::OutOfRange("integer overflow in SUM aggregate");
 }
 
-}  // namespace
-
+/// Folds one input row into `group`. SQL semantics: COUNT(*) counts rows;
+/// COUNT/SUM/MIN/MAX/AVG ignore NULL arguments.
 Status AccumulateTuple(const std::vector<AggSpecExec>& aggs, const Tuple& tuple, AggGroup* group) {
   for (size_t i = 0; i < aggs.size(); ++i) {
     AggAccumulator& acc = group->accs[i];
@@ -78,6 +78,10 @@ Status AccumulateTuple(const std::vector<AggSpecExec>& aggs, const Tuple& tuple,
   return Status::OK();
 }
 
+/// Merges the partial accumulators of `from` into `into` (same group key,
+/// accumulated separately by different workers). Merge is associative and
+/// commutative with AccumulateTuple — counts and sums add, min/max compare —
+/// so partitioned parallel aggregation produces exactly the serial result.
 Status MergeAggGroup(const std::vector<AggSpecExec>& aggs, const AggGroup& from, AggGroup* into) {
   for (size_t i = 0; i < aggs.size(); ++i) {
     const AggAccumulator& src = from.accs[i];
@@ -126,6 +130,8 @@ Status MergeAggGroup(const std::vector<AggSpecExec>& aggs, const AggGroup& from,
   return Status::OK();
 }
 
+/// Final value of one aggregate. SUM/MIN/MAX/AVG over zero non-null inputs
+/// yield NULL; COUNT yields 0.
 Result<Value> FinalizeAggregate(const AggSpecExec& spec, const AggAccumulator& acc) {
   switch (spec.func) {
     case AggFunc::kCountStar:
@@ -147,6 +153,8 @@ Result<Value> FinalizeAggregate(const AggSpecExec& spec, const AggAccumulator& a
   return Status::Internal("bad aggregate function");
 }
 
+/// Appends `group`'s key values and finalized aggregates to `out`, which
+/// must be clear.
 Status EmitAggGroup(const std::vector<AggSpecExec>& aggs, const AggGroup& group, Tuple* out) {
   for (const Value& k : group.keys) out->Append(k);
   for (size_t i = 0; i < aggs.size(); ++i) {
@@ -156,78 +164,142 @@ Status EmitAggGroup(const std::vector<AggSpecExec>& aggs, const AggGroup& group,
   return Status::OK();
 }
 
+/// Finds-or-creates the group for encoded key `enc` in `groups` and folds
+/// `tuple` into it. On a miss the group's key values come from
+/// `key_value_fn(i)`, the value of group expression `i` for this row, so
+/// they are materialized once per group.
+template <typename KeyValueFn>
+Status AccumulateKeyedRow(KeyValueFn&& key_value_fn, size_t num_keys,
+                          const std::vector<AggSpecExec>& aggs, const std::string& enc,
+                          const Tuple& tuple, SharedAggregateState::GroupMap* groups) {
+  auto it = groups->find(enc);
+  if (it == groups->end()) {
+    AggGroup group;
+    group.keys.reserve(num_keys);
+    for (size_t i = 0; i < num_keys; ++i) {
+      RELOPT_ASSIGN_OR_RETURN(Value v, key_value_fn(i));
+      group.keys.push_back(std::move(v));
+    }
+    group.accs.resize(aggs.size());
+    it = groups->emplace(enc, std::move(group)).first;
+  }
+  return AccumulateTuple(aggs, tuple, &it->second);
+}
+
+}  // namespace
+
 AggregateExecutor::AggregateExecutor(ExecContext* ctx, Schema out_schema, ExecutorPtr child,
                                      std::vector<const Expression*> group_exprs,
                                      std::vector<AggSpecExec> aggs)
+    : AggregateExecutor(ctx, std::move(out_schema), std::move(child), std::move(group_exprs),
+                        std::move(aggs), std::make_shared<SharedAggregateState>(1), 0) {
+  owns_state_ = true;
+}
+
+AggregateExecutor::AggregateExecutor(ExecContext* ctx, Schema out_schema, ExecutorPtr child,
+                                     std::vector<const Expression*> group_exprs,
+                                     std::vector<AggSpecExec> aggs,
+                                     std::shared_ptr<SharedAggregateState> shared,
+                                     size_t worker_idx)
     : Executor(ctx, std::move(out_schema)),
       child_(std::move(child)),
       group_exprs_(std::move(group_exprs)),
       aggs_(std::move(aggs)),
-      key_computer_(&group_exprs_) {}
+      key_computer_(&group_exprs_),
+      shared_(std::move(shared)),
+      worker_idx_(worker_idx),
+      owns_state_(false) {}
 
-Status AggregateExecutor::IngestRow(const std::string& enc, const Tuple& tuple) {
-  return AccumulateKeyedRow(group_exprs_, aggs_, enc, tuple, &groups_);
-}
-
-Status AggregateExecutor::IngestRowStream() {
+Status AggregateExecutor::AccumulatePhase() {
+  std::vector<SharedAggregateState::GroupMap>& mine = shared_->worker_partitions(worker_idx_);
+  RELOPT_RETURN_NOT_OK(child_->Init());
+  if (ctx_->batch_size() > 0) {
+    TupleBatch batch(ctx_->batch_size());
+    std::vector<std::string> keys;
+    while (true) {
+      RELOPT_ASSIGN_OR_RETURN(bool has, child_->NextBatch(&batch));
+      RELOPT_RETURN_NOT_OK(key_computer_.Compute(batch, &keys, &stats_.fallback_rows));
+      for (size_t k = 0; k < batch.NumSelected(); ++k) {
+        // Map misses pull key values out of the computer's column vectors
+        // instead of re-evaluating the group expressions.
+        RELOPT_RETURN_NOT_OK(AccumulateKeyedRow(
+            [&](size_t i) -> Result<Value> { return key_computer_.KeyValue(i, k); },
+            group_exprs_.size(), aggs_, keys[k], batch.SelectedRow(k),
+            &mine[shared_->PartitionOf(keys[k])]));
+      }
+      if (!has) return Status::OK();
+    }
+  }
   Tuple t;
   std::string enc;
   while (true) {
     RELOPT_ASSIGN_OR_RETURN(bool has, child_->Next(&t));
-    if (!has) break;
+    if (!has) return Status::OK();
     enc.clear();
     for (const Expression* g : group_exprs_) {
       RELOPT_ASSIGN_OR_RETURN(Value v, g->Eval(t));
       EncodeKeyValue(v, &enc);
     }
-    RELOPT_RETURN_NOT_OK(IngestRow(enc, t));
+    RELOPT_RETURN_NOT_OK(AccumulateKeyedRow(
+        [&](size_t i) { return group_exprs_[i]->Eval(t); }, group_exprs_.size(), aggs_, enc, t,
+        &mine[shared_->PartitionOf(enc)]));
   }
-  return Status::OK();
 }
 
-Status AggregateExecutor::IngestBatchStream() {
-  TupleBatch batch(ctx_->batch_size());
-  std::vector<std::string> keys;
-  while (true) {
-    RELOPT_ASSIGN_OR_RETURN(bool has, child_->NextBatch(&batch));
-    RELOPT_RETURN_NOT_OK(key_computer_.Compute(batch, &keys, &stats_.fallback_rows));
-    for (size_t k = 0; k < batch.NumSelected(); ++k) {
-      // Map misses pull key values out of the computer's column vectors
-      // instead of re-evaluating the group expressions.
-      RELOPT_RETURN_NOT_OK(AccumulateKeyedRowWith(
-          [&](size_t i) { return key_computer_.KeyValue(i, k); }, group_exprs_.size(), aggs_,
-          keys[k], batch.SelectedRow(k), &groups_));
+Status AggregateExecutor::MergePhase() {
+  SharedAggregateState::GroupMap& merged = shared_->merged(worker_idx_);
+  for (size_t w = 0; w < shared_->num_workers(); ++w) {
+    SharedAggregateState::GroupMap& part = shared_->partition(w, worker_idx_);
+    if (merged.empty()) {
+      merged = std::move(part);
+    } else {
+      for (auto& kv : part) {
+        auto it = merged.find(kv.first);
+        if (it == merged.end()) {
+          merged.emplace(kv.first, std::move(kv.second));
+        } else {
+          RELOPT_RETURN_NOT_OK(MergeAggGroup(aggs_, kv.second, &it->second));
+        }
+      }
     }
-    if (!has) break;
+    part.clear();
+  }
+  // Scalar aggregate over an empty input still yields one (default) row,
+  // emitted by the worker owning the empty key's partition.
+  if (group_exprs_.empty() && merged.empty() &&
+      shared_->PartitionOf(std::string()) == worker_idx_) {
+    AggGroup group;
+    group.accs.resize(aggs_.size());
+    merged.emplace(std::string(), std::move(group));
   }
   return Status::OK();
 }
 
 Status AggregateExecutor::InitImpl() {
-  groups_.clear();
-  done_build_ = false;
+  merged_ = nullptr;
   ResetCounters();
-  RELOPT_RETURN_NOT_OK(child_->Init());
+  if (owns_state_) shared_->Reset();
 
-  if (ctx_->batch_size() > 0) {
-    RELOPT_RETURN_NOT_OK(IngestBatchStream());
-  } else {
-    RELOPT_RETURN_NOT_OK(IngestRowStream());
-  }
+  // SPMD discipline: park errors in the shared state and hit both barriers
+  // unconditionally, or a sibling deadlocks waiting for us.
+  Status st = AccumulatePhase();
+  if (!st.ok()) shared_->RecordError(st);
+  shared_->barrier().ArriveAndWait();  // all input rows partitioned
 
-  // Scalar aggregate over an empty input still yields one (default) row.
-  if (groups_.empty() && group_exprs_.empty()) {
-    AggGroup group;
-    group.accs.resize(aggs_.size());
-    groups_.emplace(std::string(), std::move(group));
+  if (!shared_->failed()) {
+    st = MergePhase();
+    if (!st.ok()) shared_->RecordError(st);
   }
-  out_iter_ = groups_.begin();
-  done_build_ = true;
+  shared_->barrier().ArriveAndWait();  // all partitions merged; errors settled
+
+  if (shared_->failed()) return shared_->first_error();
+  merged_ = &shared_->merged(worker_idx_);
+  out_iter_ = merged_->begin();
   return Status::OK();
 }
 
 Result<bool> AggregateExecutor::NextImpl(Tuple* out) {
-  if (!done_build_ || out_iter_ == groups_.end()) return false;
+  if (merged_ == nullptr || out_iter_ == merged_->end()) return false;
   out->Clear();
   RELOPT_RETURN_NOT_OK(EmitAggGroup(aggs_, out_iter_->second, out));
   ++out_iter_;
@@ -236,13 +308,13 @@ Result<bool> AggregateExecutor::NextImpl(Tuple* out) {
 }
 
 Result<bool> AggregateExecutor::NextBatchImpl(TupleBatch* out) {
-  if (!done_build_) return false;
-  while (!out->Full() && out_iter_ != groups_.end()) {
+  if (merged_ == nullptr) return false;
+  while (!out->Full() && out_iter_ != merged_->end()) {
     RELOPT_RETURN_NOT_OK(EmitAggGroup(aggs_, out_iter_->second, out->AppendRow()));
     ++out_iter_;
   }
   CountRows(out->NumSelected());
-  return out_iter_ != groups_.end();
+  return out_iter_ != merged_->end();
 }
 
 }  // namespace relopt

@@ -1,12 +1,15 @@
-// Hash aggregation: the serial executor plus the accumulate/merge/finalize
-// core shared with the parallel partitioned aggregation workers.
+// Hash aggregation: one executor class for the serial aggregation (one
+// partition) and each worker of a partitioned parallel aggregation, plus the
+// accumulate/merge/finalize core they run.
 #pragma once
 
-#include <map>
+#include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "exec/executor.h"
+#include "exec/gather.h"
 #include "expr/vector_eval.h"
 
 namespace relopt {
@@ -38,102 +41,93 @@ struct AggGroup {
   std::vector<AggAccumulator> accs;
 };
 
-/// Folds one input row into `group`. SQL semantics: COUNT(*) counts rows;
-/// COUNT/SUM/MIN/MAX/AVG ignore NULL arguments.
-Status AccumulateTuple(const std::vector<AggSpecExec>& aggs, const Tuple& tuple, AggGroup* group);
+/// \brief State shared by the workers of one hash aggregation.
+///
+/// Layout: `partitions[w][p]` holds the groups worker `w` accumulated for
+/// partition `p` (PartitionOf its encoded key) while draining its input;
+/// after the first barrier, worker `k` folds column `k` of that matrix into
+/// `merged[k]` with MergeAggGroup. After the second barrier each merged
+/// partition is owned read-only by its worker, which emits it. A group key
+/// lands in exactly one partition, so groups are never split across emitters.
+class SharedAggregateState : public PartitionedSharedState {
+ public:
+  using GroupMap = std::unordered_map<std::string, AggGroup>;
 
-/// Merges the partial accumulators of `from` into `into` (same group key,
-/// accumulated separately by different workers). Merge is associative and
-/// commutative with AccumulateTuple — counts and sums add, min/max compare —
-/// so partitioned parallel aggregation produces exactly the serial result.
-Status MergeAggGroup(const std::vector<AggSpecExec>& aggs, const AggGroup& from, AggGroup* into);
+  explicit SharedAggregateState(size_t num_workers) : PartitionedSharedState(num_workers) {}
 
-/// Final value of one aggregate. SUM/MIN/MAX/AVG over zero non-null inputs
-/// yield NULL; COUNT yields 0.
-Result<Value> FinalizeAggregate(const AggSpecExec& spec, const AggAccumulator& acc);
-
-/// Appends `group`'s key values and finalized aggregates to `out` — the
-/// output row layout shared by the serial executor and the parallel workers.
-/// `out` must be clear.
-Status EmitAggGroup(const std::vector<AggSpecExec>& aggs, const AggGroup& group, Tuple* out);
-
-/// Finds-or-creates the group for encoded key `enc` in `groups` and folds
-/// `tuple` into it. Group key values are evaluated only on a miss (once per
-/// group). Works over any map<string, AggGroup> (the serial executor's
-/// ordered map, the parallel workers' unordered partitions).
-template <typename GroupMap>
-Status AccumulateKeyedRow(const std::vector<const Expression*>& group_exprs,
-                          const std::vector<AggSpecExec>& aggs, const std::string& enc,
-                          const Tuple& tuple, GroupMap* groups) {
-  auto it = groups->find(enc);
-  if (it == groups->end()) {
-    AggGroup group;
-    group.keys.reserve(group_exprs.size());
-    for (const Expression* g : group_exprs) {
-      RELOPT_ASSIGN_OR_RETURN(Value v, g->Eval(tuple));
-      group.keys.push_back(std::move(v));
-    }
-    group.accs.resize(aggs.size());
-    it = groups->emplace(enc, std::move(group)).first;
+  /// Clears partitions, merged maps, and the error slot. No worker may be
+  /// running.
+  void Reset() override {
+    partitions_.assign(num_workers(), std::vector<GroupMap>(num_workers()));
+    merged_.assign(num_workers(), GroupMap{});
+    ResetError();
   }
-  return AccumulateTuple(aggs, tuple, &it->second);
-}
 
-/// As AccumulateKeyedRow, but materializes group key values on a miss from
-/// `key_value_fn(i)` (the value of group expression `i` for this row) instead
-/// of re-evaluating the group expressions — the batch drive already has them
-/// in the key computer's column vectors.
-template <typename GroupMap, typename KeyValueFn>
-Status AccumulateKeyedRowWith(KeyValueFn&& key_value_fn, size_t num_keys,
-                              const std::vector<AggSpecExec>& aggs, const std::string& enc,
-                              const Tuple& tuple, GroupMap* groups) {
-  auto it = groups->find(enc);
-  if (it == groups->end()) {
-    AggGroup group;
-    group.keys.reserve(num_keys);
-    for (size_t i = 0; i < num_keys; ++i) group.keys.push_back(key_value_fn(i));
-    group.accs.resize(aggs.size());
-    it = groups->emplace(enc, std::move(group)).first;
-  }
-  return AccumulateTuple(aggs, tuple, &it->second);
-}
+  std::vector<GroupMap>& worker_partitions(size_t w) { return partitions_[w]; }
+  GroupMap& partition(size_t w, size_t p) { return partitions_[w][p]; }
+  GroupMap& merged(size_t p) { return merged_[p]; }
 
-/// \brief Hash (here: ordered-map) aggregation. Groups on the encoded group
-/// key, so NULLs group together (SQL GROUP BY semantics) and output order is
-/// deterministic (ascending group key).
+ private:
+  std::vector<std::vector<GroupMap>> partitions_;
+  std::vector<GroupMap> merged_;
+};
+
+/// \brief Hash aggregation. Groups on the encoded group key, so NULLs group
+/// together (SQL GROUP BY semantics). Output order is unspecified: a query
+/// that needs ordered groups has an ORDER BY, planned as a Sort above.
 ///
 /// SQL semantics: COUNT(*) counts rows; COUNT/SUM/MIN/MAX/AVG ignore NULL
 /// arguments; SUM/MIN/MAX/AVG over zero non-null inputs yield NULL. With no
 /// GROUP BY, an empty input still produces one row.
 ///
+/// Serial execution is the one-partition case of partitioned parallel
+/// aggregation: the serial constructor owns a one-worker
+/// SharedAggregateState and resets it in Init (so a rescan restarts); no
+/// Gather or thread pool is involved and no key is hashed for partitioning.
+/// A parallel aggregation runs one executor per worker over a state shared
+/// through the Gather; a global aggregate routes every row to the empty
+/// key's partition, whose owner also emits the one default row when the
+/// input is empty.
+///
 /// Under vectorized drive (ctx batch_size > 0) both sides are native batch:
 /// ingest pulls TupleBatches from the child and computes encoded group keys
 /// per batch (GroupKeyComputer), emit fills output batches a group row at a
-/// time. Row drive is byte-identical to the pre-vectorized path.
+/// time.
 class AggregateExecutor : public Executor {
  public:
   AggregateExecutor(ExecContext* ctx, Schema out_schema, ExecutorPtr child,
                     std::vector<const Expression*> group_exprs, std::vector<AggSpecExec> aggs);
+  /// Worker `worker_idx` of a parallel aggregation. Exactly
+  /// `shared->num_workers()` siblings must run concurrently; their Gather
+  /// resets `shared`.
+  AggregateExecutor(ExecContext* ctx, Schema out_schema, ExecutorPtr child,
+                    std::vector<const Expression*> group_exprs, std::vector<AggSpecExec> aggs,
+                    std::shared_ptr<SharedAggregateState> shared, size_t worker_idx);
 
   Status InitImpl() override;
   Result<bool> NextImpl(Tuple* out) override;
   Result<bool> NextBatchImpl(TupleBatch* out) override;
 
+  void Abandon() override { child_->Abandon(); }
+
  private:
-  /// Finds-or-creates the group for `enc` and accumulates `tuple` into it.
-  /// Group key values are evaluated only on a miss (once per group).
-  Status IngestRow(const std::string& enc, const Tuple& tuple);
-  Status IngestRowStream();
-  Status IngestBatchStream();
+  /// Drains the child, accumulating each row into this worker's partition
+  /// of its encoded group key.
+  Status AccumulatePhase();
+  /// Folds partition column `worker_idx_` into `shared_->merged(worker_idx_)`.
+  Status MergePhase();
 
   ExecutorPtr child_;
   std::vector<const Expression*> group_exprs_;
   std::vector<AggSpecExec> aggs_;
   GroupKeyComputer key_computer_;  ///< batched group-key encoding (batch drive)
+  std::shared_ptr<SharedAggregateState> shared_;
+  size_t worker_idx_;
+  bool owns_state_;  ///< serial aggregation: Init resets `shared_` itself
 
-  std::map<std::string, AggGroup> groups_;
-  std::map<std::string, AggGroup>::const_iterator out_iter_;
-  bool done_build_ = false;
+  /// This worker's merged partition; null until Init completes.
+  SharedAggregateState::GroupMap* merged_ = nullptr;
+  SharedAggregateState::GroupMap::const_iterator out_iter_;
 };
 
 }  // namespace relopt

@@ -2,22 +2,77 @@
 // serial Volcano protocol.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
 
 #include "exec/executor.h"
+#include "util/thread_pool.h"
 
 namespace relopt {
 
 /// Shared state used by a parallel fragment (morsel cursors, join partition
 /// tables). The Gather resets every piece of shared state on (re)Init, on the
-/// coordinating thread, before any worker launches.
+/// coordinating thread, before any worker launches. A serial operator owns a
+/// one-worker instance and resets it in its own Init.
 class ParallelSharedState {
  public:
   virtual ~ParallelSharedState() = default;
   virtual void Reset() = 0;
+};
+
+/// \brief Shared state of a hash-partitioned operator (hash join,
+/// aggregation) whose `num_workers` workers meet at a barrier between
+/// phases. There is one partition per worker.
+///
+/// Worker Init is SPMD: every worker must reach every barrier on every path,
+/// so errors are parked here (first one wins) and re-raised after the last
+/// barrier. With one worker the barrier never blocks and every key is in
+/// partition 0 without hashing.
+class PartitionedSharedState : public ParallelSharedState {
+ public:
+  explicit PartitionedSharedState(size_t num_workers)
+      : num_workers_(num_workers), barrier_(num_workers) {}
+
+  size_t num_workers() const { return num_workers_; }
+  Barrier& barrier() { return barrier_; }
+
+  /// Partition owning encoded key `key`.
+  size_t PartitionOf(const std::string& key) const {
+    return num_workers_ == 1 ? 0 : std::hash<std::string>{}(key) % num_workers_;
+  }
+
+  /// Records the first error any worker hits; later errors are dropped.
+  void RecordError(const Status& st) {
+    std::lock_guard<std::mutex> lock(error_mu_);
+    if (!failed_.load(std::memory_order_relaxed)) {
+      first_error_ = st;
+      failed_.store(true, std::memory_order_release);
+    }
+  }
+  bool failed() const { return failed_.load(std::memory_order_acquire); }
+  /// Only meaningful after a barrier following the RecordError calls.
+  Status first_error() const {
+    std::lock_guard<std::mutex> lock(error_mu_);
+    return first_error_;
+  }
+
+ protected:
+  void ResetError() {
+    failed_.store(false, std::memory_order_relaxed);
+    first_error_ = Status::OK();
+  }
+
+ private:
+  const size_t num_workers_;
+  Barrier barrier_;
+  std::atomic<bool> failed_{false};
+  mutable std::mutex error_mu_;
+  Status first_error_;
 };
 
 /// \brief Runs N worker executors on the thread pool and merges their output

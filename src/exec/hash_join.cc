@@ -5,24 +5,15 @@
 
 namespace relopt {
 
-HashJoinExecutor::HashJoinExecutor(ExecContext* ctx, ExecutorPtr build, ExecutorPtr probe,
-                                   std::vector<size_t> build_keys, std::vector<size_t> probe_keys,
-                                   const Expression* residual, bool output_probe_first)
-    : Executor(ctx, MakeOutputSchema(*build, *probe, output_probe_first)),
-      build_(std::move(build)),
-      probe_(std::move(probe)),
-      build_keys_(std::move(build_keys)),
-      probe_keys_(std::move(probe_keys)),
-      residual_(residual),
-      output_probe_first_(output_probe_first),
-      probe_batch_(ctx->batch_size()) {}
+namespace {
 
-Schema HashJoinExecutor::MakeOutputSchema(const Executor& build, const Executor& probe,
-                                          bool output_probe_first) {
+Schema MakeOutputSchema(const Executor& build, const Executor& probe, bool output_probe_first) {
   return output_probe_first ? Schema::Concat(probe.schema(), build.schema())
                             : Schema::Concat(build.schema(), probe.schema());
 }
 
+/// Encoded equi-join key for a row (memcmp-comparable, see EncodeKey);
+/// empty optional if any key column is NULL — NULL keys never match.
 Result<std::optional<std::string>> JoinKeyOf(const Tuple& t, const std::vector<size_t>& keys) {
   std::vector<Value> vals;
   vals.reserve(keys.size());
@@ -33,80 +24,134 @@ Result<std::optional<std::string>> JoinKeyOf(const Tuple& t, const std::vector<s
   return std::optional<std::string>(EncodeKey(vals));
 }
 
+/// Inits and drains `child` in the context's drive mode, calling
+/// `fn(&key, &row)` for every row with its encoded join key. Under batch
+/// drive the keys of a whole batch are encoded in one tight loop.
+template <typename Fn>
+Status DrainWithKeys(ExecContext* ctx, Executor* child, const std::vector<size_t>& key_cols,
+                     Fn&& fn) {
+  RELOPT_RETURN_NOT_OK(child->Init());
+  if (ctx->batch_size() > 0) {
+    TupleBatch batch(ctx->batch_size());
+    std::vector<std::optional<std::string>> keys;
+    while (true) {
+      RELOPT_ASSIGN_OR_RETURN(bool has, child->NextBatch(&batch));
+      RELOPT_RETURN_NOT_OK(ComputeJoinKeys(batch, key_cols, &keys));
+      for (size_t k = 0; k < batch.NumSelected(); ++k) {
+        RELOPT_RETURN_NOT_OK(fn(&keys[k], batch.MutableRowAt(batch.selection()[k])));
+      }
+      if (!has) return Status::OK();
+    }
+  }
+  Tuple t;
+  while (true) {
+    RELOPT_ASSIGN_OR_RETURN(bool has, child->Next(&t));
+    if (!has) return Status::OK();
+    RELOPT_ASSIGN_OR_RETURN(std::optional<std::string> key, JoinKeyOf(t, key_cols));
+    RELOPT_RETURN_NOT_OK(fn(&key, &t));
+  }
+}
+
+}  // namespace
+
+HashJoinExecutor::HashJoinExecutor(ExecContext* ctx, ExecutorPtr build, ExecutorPtr probe,
+                                   std::vector<size_t> build_keys, std::vector<size_t> probe_keys,
+                                   const Expression* residual, bool output_probe_first)
+    : HashJoinExecutor(ctx, std::move(build), std::move(probe), std::move(build_keys),
+                       std::move(probe_keys), residual, output_probe_first,
+                       std::make_shared<SharedHashJoinState>(1), 0) {
+  owns_state_ = true;
+}
+
+HashJoinExecutor::HashJoinExecutor(ExecContext* ctx, ExecutorPtr build, ExecutorPtr probe,
+                                   std::vector<size_t> build_keys, std::vector<size_t> probe_keys,
+                                   const Expression* residual, bool output_probe_first,
+                                   std::shared_ptr<SharedHashJoinState> shared, size_t worker_idx)
+    : Executor(ctx, MakeOutputSchema(*build, *probe, output_probe_first)),
+      build_(std::move(build)),
+      probe_(std::move(probe)),
+      build_keys_(std::move(build_keys)),
+      probe_keys_(std::move(probe_keys)),
+      residual_(residual),
+      output_probe_first_(output_probe_first),
+      shared_(std::move(shared)),
+      worker_idx_(worker_idx),
+      owns_state_(false),
+      probe_batch_(ctx->batch_size()) {}
+
 Tuple HashJoinExecutor::MakeOutput(const Tuple& probe_row, const Tuple& build_row) const {
   return output_probe_first_ ? Tuple::Concat(probe_row, build_row)
                              : Tuple::Concat(build_row, probe_row);
 }
 
+Status HashJoinExecutor::PartitionBuildSide(size_t* bytes) {
+  std::vector<std::vector<SharedHashJoinState::KeyedRow>>& mine =
+      shared_->worker_partitions(worker_idx_);
+  // Only a one-partition join can spill, so only it sizes its input.
+  const bool sized = shared_->num_workers() == 1;
+  return DrainWithKeys(ctx_, build_.get(), build_keys_,
+                       [&](std::optional<std::string>* key, Tuple* row) {
+                         if (sized) *bytes += row->Serialize().size() + 16;
+                         if (!key->has_value()) return Status::OK();  // NULL keys never match
+                         mine[shared_->PartitionOf(**key)].emplace_back(std::move(**key),
+                                                                        std::move(*row));
+                         return Status::OK();
+                       });
+}
+
+void HashJoinExecutor::BuildTable() {
+  SharedHashJoinState::HashTable& table = shared_->table(worker_idx_);
+  size_t total = 0;
+  for (size_t w = 0; w < shared_->num_workers(); ++w) {
+    total += shared_->partition(w, worker_idx_).size();
+  }
+  table.reserve(total);
+  for (size_t w = 0; w < shared_->num_workers(); ++w) {
+    std::vector<SharedHashJoinState::KeyedRow>& rows = shared_->partition(w, worker_idx_);
+    for (SharedHashJoinState::KeyedRow& kr : rows) {
+      table.emplace(std::move(kr.first), std::move(kr.second));
+    }
+    rows.clear();
+    rows.shrink_to_fit();
+  }
+}
+
 Status HashJoinExecutor::InitImpl() {
-  table_.clear();
   matches_.clear();
   match_idx_ = 0;
-  have_probe_ = false;
-  grace_ = false;
-  build_parts_.clear();
-  probe_parts_.clear();
-  part_probe_iter_.reset();
-  part_idx_ = 0;
   probe_batch_.Clear();
   batch_keys_.clear();
   probe_pos_ = 0;
   probe_done_ = false;
   batch_probe_row_ = nullptr;
+  grace_ = false;
+  build_parts_.clear();
+  probe_parts_.clear();
+  part_probe_iter_.reset();
+  part_idx_ = 0;
   ResetCounters();
+  if (owns_state_) shared_->Reset();
 
-  build_cols_ = build_->schema().NumColumns();
-  probe_cols_ = probe_->schema().NumColumns();
-
-  // Drain the build side, tracking size against the memory budget. Under
-  // vectorized execution the build child is batch-driven and each batch's
-  // join keys are encoded in one tight loop, so the hash-table build (and a
-  // possible Grace partition pass) never re-derives keys row at a time.
-  RELOPT_RETURN_NOT_OK(build_->Init());
-  const size_t budget = ctx_->operator_memory_pages() * kPageSize;
-  std::vector<Tuple> build_rows;
-  std::vector<std::optional<std::string>> build_row_keys;
+  // SPMD discipline: park errors in the shared state and hit both barriers
+  // unconditionally, or a sibling deadlocks waiting for us.
   size_t bytes = 0;
-  Tuple t;
-  if (ctx_->batch_size() > 0) {
-    TupleBatch batch(ctx_->batch_size());
-    std::vector<std::optional<std::string>> keys;
-    while (true) {
-      RELOPT_ASSIGN_OR_RETURN(bool has, build_->NextBatch(&batch));
-      RELOPT_RETURN_NOT_OK(ComputeJoinKeys(batch, build_keys_, &keys));
-      for (size_t k = 0; k < batch.NumSelected(); ++k) {
-        Tuple& row = *batch.MutableRowAt(batch.selection()[k]);
-        bytes += row.Serialize().size() + 16;
-        build_rows.push_back(std::move(row));
-        build_row_keys.push_back(std::move(keys[k]));
-      }
-      if (!has) break;
-    }
-  } else {
-    while (true) {
-      RELOPT_ASSIGN_OR_RETURN(bool has, build_->Next(&t));
-      if (!has) break;
-      bytes += t.Serialize().size() + 16;
-      RELOPT_ASSIGN_OR_RETURN(std::optional<std::string> key, JoinKeyOf(t, build_keys_));
-      build_rows.push_back(std::move(t));
-      build_row_keys.push_back(std::move(key));
-    }
-  }
+  Status st = PartitionBuildSide(&bytes);
+  if (!st.ok()) shared_->RecordError(st);
+  shared_->barrier().ArriveAndWait();  // all build rows partitioned
 
-  if (bytes <= budget) {
-    // Bulk insert: keys were already encoded batch-at-a-time above.
-    table_.reserve(build_rows.size());
-    for (size_t i = 0; i < build_rows.size(); ++i) {
-      if (!build_row_keys[i].has_value()) continue;  // NULL keys never match
-      table_.emplace(std::move(*build_row_keys[i]), std::move(build_rows[i]));
-    }
-    RELOPT_RETURN_NOT_OK(probe_->Init());
-    return Status::OK();
-  }
+  // Only a one-partition join spills, so spilling never strands a sibling.
+  const bool spill = bytes > ctx_->operator_memory_pages() * kPageSize;
+  if (!shared_->failed() && !spill) BuildTable();
+  shared_->barrier().ArriveAndWait();  // all tables built; read-only from here
 
-  // Grace: partition both sides to scratch heaps.
+  if (shared_->failed()) return shared_->first_error();
+  if (spill) return SpillBothSides(bytes);
+  return probe_->Init();
+}
+
+Status HashJoinExecutor::SpillBothSides(size_t bytes) {
   grace_ = true;
-  num_partitions_ = std::min<size_t>(64, bytes / budget + 2);
+  num_partitions_ = std::min<size_t>(64, bytes / (ctx_->operator_memory_pages() * kPageSize) + 2);
   for (size_t i = 0; i < num_partitions_; ++i) {
     RELOPT_ASSIGN_OR_RETURN(HeapFile bp, ctx_->CreateScratchHeap());
     build_parts_.push_back(std::move(bp));
@@ -114,65 +159,90 @@ Status HashJoinExecutor::InitImpl() {
     probe_parts_.push_back(std::move(pp));
   }
   std::hash<std::string> hasher;
-  for (size_t i = 0; i < build_rows.size(); ++i) {
-    const std::optional<std::string>& key = build_row_keys[i];
-    if (!key.has_value()) continue;  // NULL keys never match
-    size_t p = hasher(*key) % num_partitions_;
-    RELOPT_ASSIGN_OR_RETURN(Rid rid, build_parts_[p].Insert(build_rows[i].Serialize()));
-    (void)rid;
+  std::vector<SharedHashJoinState::KeyedRow>& rows = shared_->partition(0, 0);
+  for (const SharedHashJoinState::KeyedRow& kr : rows) {
+    RELOPT_RETURN_NOT_OK(
+        build_parts_[hasher(kr.first) % num_partitions_].Insert(kr.second.Serialize()).status());
   }
-  build_rows.clear();
-  build_row_keys.clear();
-  RELOPT_RETURN_NOT_OK(probe_->Init());
-  while (true) {
-    RELOPT_ASSIGN_OR_RETURN(bool has, probe_->Next(&t));
-    if (!has) break;
-    RELOPT_ASSIGN_OR_RETURN(std::optional<std::string> key, JoinKeyOf(t, probe_keys_));
-    if (!key.has_value()) continue;
-    size_t p = hasher(*key) % num_partitions_;
-    RELOPT_ASSIGN_OR_RETURN(Rid rid, probe_parts_[p].Insert(t.Serialize()));
-    (void)rid;
-  }
+  std::vector<SharedHashJoinState::KeyedRow>().swap(rows);
+  RELOPT_RETURN_NOT_OK(DrainWithKeys(
+      ctx_, probe_.get(), probe_keys_, [&](std::optional<std::string>* key, Tuple* row) {
+        if (!key->has_value()) return Status::OK();  // NULL keys never match
+        return probe_parts_[hasher(**key) % num_partitions_].Insert(row->Serialize()).status();
+      }));
   part_idx_ = 0;
   return LoadPartition();
 }
 
-Status HashJoinExecutor::AddBuildRow(const Tuple& t) {
-  RELOPT_ASSIGN_OR_RETURN(std::optional<std::string> key, JoinKeyOf(t, build_keys_));
-  if (key.has_value()) {
-    table_.emplace(std::move(*key), t);
-  }
-  return Status::OK();
-}
-
 Status HashJoinExecutor::LoadPartition() {
-  table_.clear();
+  SharedHashJoinState::HashTable& table = shared_->table(0);
+  table.clear();
   part_probe_iter_.reset();
-  while (part_idx_ < num_partitions_) {
-    HeapFile& bp = build_parts_[part_idx_];
-    HeapFile::Iterator it(&bp);
-    Rid rid;
-    std::string bytes;
-    bool any = false;
+  const size_t build_cols = build_->schema().NumColumns();
+  Rid rid;
+  std::string bytes;
+  for (; part_idx_ < num_partitions_; ++part_idx_) {
+    HeapFile::Iterator it(&build_parts_[part_idx_]);
     while (true) {
       RELOPT_ASSIGN_OR_RETURN(bool has, it.Next(&rid, &bytes));
       if (!has) break;
-      RELOPT_ASSIGN_OR_RETURN(Tuple row, Tuple::Deserialize(bytes, build_cols_));
-      RELOPT_RETURN_NOT_OK(AddBuildRow(row));
-      any = true;
+      RELOPT_ASSIGN_OR_RETURN(Tuple row, Tuple::Deserialize(bytes, build_cols));
+      RELOPT_ASSIGN_OR_RETURN(std::optional<std::string> key, JoinKeyOf(row, build_keys_));
+      table.emplace(std::move(*key), std::move(row));  // spilled keys are never NULL
     }
     // Even an empty build partition must advance past its probe partition.
-    if (any || probe_parts_[part_idx_].NumPages() > 0) {
+    if (!table.empty() || probe_parts_[part_idx_].NumPages() > 0) {
       part_probe_iter_ = std::make_unique<HeapFile::Iterator>(&probe_parts_[part_idx_]);
       return Status::OK();
     }
-    table_.clear();
-    ++part_idx_;
   }
   return Status::OK();
 }
 
-Result<bool> HashJoinExecutor::NextInMemory(Tuple* out, Executor* probe_source) {
+Result<bool> HashJoinExecutor::NextProbeRow(Tuple* out) {
+  if (!grace_) return probe_->Next(out);
+  Rid rid;
+  std::string bytes;
+  while (part_probe_iter_ != nullptr) {
+    RELOPT_ASSIGN_OR_RETURN(bool has, part_probe_iter_->Next(&rid, &bytes));
+    if (has) {
+      RELOPT_RETURN_NOT_OK(out->FillFrom(bytes, probe_->schema().NumColumns()));
+      return true;
+    }
+    ++part_idx_;
+    RELOPT_RETURN_NOT_OK(LoadPartition());
+  }
+  return false;
+}
+
+Result<bool> HashJoinExecutor::NextProbeBatch(TupleBatch* out) {
+  if (!grace_) return probe_->NextBatch(out);
+  out->Clear();
+  const size_t probe_cols = probe_->schema().NumColumns();
+  Rid rid;
+  std::string bytes;
+  while (part_probe_iter_ != nullptr) {
+    while (!out->Full()) {
+      RELOPT_ASSIGN_OR_RETURN(bool has, part_probe_iter_->Next(&rid, &bytes));
+      if (!has) break;
+      RELOPT_RETURN_NOT_OK(out->AppendRow()->FillFrom(bytes, probe_cols));
+    }
+    // Loading the next partition replaces the table the batch's matches
+    // point into, so it waits until this batch has been probed.
+    if (!out->Empty()) return true;
+    ++part_idx_;
+    RELOPT_RETURN_NOT_OK(LoadPartition());
+  }
+  return false;
+}
+
+void HashJoinExecutor::FindMatches(const std::string& key) {
+  const SharedHashJoinState::HashTable& table = shared_->table(shared_->PartitionOf(key));
+  auto [lo, hi] = table.equal_range(key);
+  for (auto it = lo; it != hi; ++it) matches_.push_back(&it->second);
+}
+
+Result<bool> HashJoinExecutor::NextImpl(Tuple* out) {
   while (true) {
     while (match_idx_ < matches_.size()) {
       Tuple combined = MakeOutput(probe_tuple_, *matches_[match_idx_++]);
@@ -183,58 +253,16 @@ Result<bool> HashJoinExecutor::NextInMemory(Tuple* out, Executor* probe_source) 
         return true;
       }
     }
-    RELOPT_ASSIGN_OR_RETURN(bool has, probe_source->Next(&probe_tuple_));
+    RELOPT_ASSIGN_OR_RETURN(bool has, NextProbeRow(&probe_tuple_));
     if (!has) return false;
     matches_.clear();
     match_idx_ = 0;
     RELOPT_ASSIGN_OR_RETURN(std::optional<std::string> key, JoinKeyOf(probe_tuple_, probe_keys_));
-    if (!key.has_value()) continue;
-    auto [lo, hi] = table_.equal_range(*key);
-    for (auto it = lo; it != hi; ++it) matches_.push_back(&it->second);
+    if (key.has_value()) FindMatches(*key);  // NULL keys never match
   }
-}
-
-Result<bool> HashJoinExecutor::NextGrace(Tuple* out) {
-  while (part_idx_ < num_partitions_) {
-    // Probe from the current partition's heap.
-    while (true) {
-      while (match_idx_ < matches_.size()) {
-        Tuple combined = MakeOutput(probe_tuple_, *matches_[match_idx_++]);
-        RELOPT_ASSIGN_OR_RETURN(bool pass, PredicatePasses(residual_, combined));
-        if (pass) {
-          *out = std::move(combined);
-          CountRow();
-          return true;
-        }
-      }
-      if (!part_probe_iter_) break;
-      Rid rid;
-      std::string bytes;
-      RELOPT_ASSIGN_OR_RETURN(bool has, part_probe_iter_->Next(&rid, &bytes));
-      if (!has) break;
-      RELOPT_ASSIGN_OR_RETURN(probe_tuple_, Tuple::Deserialize(bytes, probe_cols_));
-      matches_.clear();
-      match_idx_ = 0;
-      RELOPT_ASSIGN_OR_RETURN(std::optional<std::string> key, JoinKeyOf(probe_tuple_, probe_keys_));
-      if (!key.has_value()) continue;
-      auto [lo, hi] = table_.equal_range(*key);
-      for (auto it = lo; it != hi; ++it) matches_.push_back(&it->second);
-    }
-    ++part_idx_;
-    RELOPT_RETURN_NOT_OK(LoadPartition());
-  }
-  return false;
-}
-
-Result<bool> HashJoinExecutor::NextImpl(Tuple* out) {
-  if (grace_) return NextGrace(out);
-  return NextInMemory(out, probe_.get());
 }
 
 Result<bool> HashJoinExecutor::NextBatchImpl(TupleBatch* out) {
-  // Grace mode interleaves partition heap I/O with probing; keep it on the
-  // proven row path via the base adapter.
-  if (grace_) return Executor::NextBatchImpl(out);
   while (true) {
     // Drain the current probe row's match list into the output batch.
     while (match_idx_ < matches_.size()) {
@@ -254,17 +282,15 @@ Result<bool> HashJoinExecutor::NextBatchImpl(TupleBatch* out) {
       const std::optional<std::string>& key = batch_keys_[k];
       if (!key.has_value()) continue;  // NULL keys never match
       batch_probe_row_ = &probe_batch_.SelectedRow(k);
-      auto [lo, hi] = table_.equal_range(*key);
-      for (auto it = lo; it != hi; ++it) matches_.push_back(&it->second);
+      FindMatches(*key);
       continue;
     }
     if (probe_done_) {
       CountRows(out->NumSelected());
       return false;
     }
-    // Refill the probe batch and encode all its keys up front (batched
-    // hashing: one tight loop over the batch instead of per-probe bookwork).
-    RELOPT_ASSIGN_OR_RETURN(bool has, probe_->NextBatch(&probe_batch_));
+    // Refill the probe batch and encode all its keys up front.
+    RELOPT_ASSIGN_OR_RETURN(bool has, NextProbeBatch(&probe_batch_));
     if (!has) probe_done_ = true;
     probe_pos_ = 0;
     RELOPT_RETURN_NOT_OK(ComputeJoinKeys(probe_batch_, probe_keys_, &batch_keys_));

@@ -2,12 +2,12 @@
 
 #include <unordered_map>
 
+#include "exec/aggregate.h"
 #include "exec/filter.h"
 #include "exec/gather.h"
-#include "exec/morsel_scan.h"
-#include "exec/parallel_aggregate.h"
-#include "exec/parallel_hash_join.h"
+#include "exec/hash_join.h"
 #include "exec/project.h"
+#include "exec/seq_scan.h"
 
 namespace relopt {
 
@@ -51,7 +51,7 @@ Result<ExecutorPtr> BuildFragment(ExecContext* ctx, const PhysicalNode* plan, si
         src = std::make_shared<MorselSource>(table->heap());
         state->all.push_back(src);
       }
-      auto exec = std::make_unique<MorselScanExecutor>(ctx, node->schema(), src.get());
+      auto exec = std::make_unique<SeqScanExecutor>(ctx, node->schema(), src.get());
       ctx->RegisterExecutor(plan, exec.get());
       return ExecutorPtr(std::move(exec));
     }
@@ -83,7 +83,7 @@ Result<ExecutorPtr> BuildFragment(ExecContext* ctx, const PhysicalNode* plan, si
         shared = std::make_shared<SharedHashJoinState>(ctx->parallelism());
         state->all.push_back(shared);
       }
-      auto exec = std::make_unique<ParallelHashJoinWorker>(
+      auto exec = std::make_unique<HashJoinExecutor>(
           ctx, std::move(build), std::move(probe), node->build_keys(), node->probe_keys(),
           node->residual(), node->output_probe_first(), shared, worker_idx);
       ctx->RegisterExecutor(plan, exec.get());
@@ -104,7 +104,7 @@ Result<ExecutorPtr> BuildFragment(ExecContext* ctx, const PhysicalNode* plan, si
       for (const PhysAggregate::Agg& a : node->aggs()) {
         aggs.push_back(AggSpecExec{a.func, a.arg.get()});
       }
-      auto exec = std::make_unique<ParallelAggregateWorker>(
+      auto exec = std::make_unique<AggregateExecutor>(
           ctx, node->schema(), std::move(child), std::move(group_exprs), std::move(aggs), shared,
           worker_idx);
       ctx->RegisterExecutor(plan, exec.get());

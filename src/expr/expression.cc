@@ -353,20 +353,14 @@ Result<Value> ArithmeticExpr::Eval(const Tuple& tuple) const {
   }
   bool as_int = l.type() == TypeId::kInt64 && r.type() == TypeId::kInt64;
   if (as_int) {
-    int64_t a = l.AsInt(), b = r.AsInt();
-    switch (op_) {
-      case ArithOp::kAdd:
-        return Value::Int(a + b);
-      case ArithOp::kSub:
-        return Value::Int(a - b);
-      case ArithOp::kMul:
-        return Value::Int(a * b);
-      case ArithOp::kDiv:
-        if (b == 0) return Value::Null(TypeId::kInt64);
-        return Value::Int(a / b);
-      case ArithOp::kMod:
-        if (b == 0) return Value::Null(TypeId::kInt64);
-        return Value::Int(a % b);
+    int64_t v = 0;
+    switch (CheckedIntArith(op_, l.AsInt(), r.AsInt(), &v)) {
+      case IntArithStatus::kOk:
+        return Value::Int(v);
+      case IntArithStatus::kNull:
+        return Value::Null(TypeId::kInt64);
+      case IntArithStatus::kOverflow:
+        return Status::OutOfRange("integer overflow in " + ToString());
     }
   }
   double a = l.NumericAsDouble(), b = r.NumericAsDouble();

@@ -204,8 +204,39 @@ class LogicalExpr : public Expression {
   std::vector<ExprPtr> children_;
 };
 
+/// Outcome of one checked int64 arithmetic step.
+enum class IntArithStatus { kOk, kNull, kOverflow };
+
+/// Checked int64 `a op b`, shared by the row and kernel evaluators: `+ - *`
+/// that overflow and INT64_MIN / -1 report kOverflow; x / 0 and x % 0 report
+/// kNull; x % -1 is 0. `*out` is set only on kOk.
+inline IntArithStatus CheckedIntArith(ArithOp op, int64_t a, int64_t b, int64_t* out) {
+  switch (op) {
+    case ArithOp::kAdd:
+      return __builtin_add_overflow(a, b, out) ? IntArithStatus::kOverflow : IntArithStatus::kOk;
+    case ArithOp::kSub:
+      return __builtin_sub_overflow(a, b, out) ? IntArithStatus::kOverflow : IntArithStatus::kOk;
+    case ArithOp::kMul:
+      return __builtin_mul_overflow(a, b, out) ? IntArithStatus::kOverflow : IntArithStatus::kOk;
+    case ArithOp::kDiv:
+      if (b == 0) return IntArithStatus::kNull;
+      if (b == -1) {
+        return __builtin_sub_overflow(int64_t{0}, a, out) ? IntArithStatus::kOverflow
+                                                          : IntArithStatus::kOk;
+      }
+      *out = a / b;
+      return IntArithStatus::kOk;
+    case ArithOp::kMod:
+      if (b == 0) return IntArithStatus::kNull;
+      *out = b == -1 ? 0 : a % b;
+      return IntArithStatus::kOk;
+  }
+  return IntArithStatus::kNull;
+}
+
 /// +, -, *, /, % over numerics (NULL operand -> NULL; x/0 -> NULL, the
-/// engine's documented divide-by-zero behaviour).
+/// engine's documented divide-by-zero behaviour). Integer overflow raises
+/// OutOfRange instead of wrapping.
 class ArithmeticExpr : public Expression {
  public:
   ArithmeticExpr(ArithOp op, ExprPtr left, ExprPtr right)

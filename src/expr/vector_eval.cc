@@ -290,31 +290,10 @@ class ArithNode final : public CompiledExpr {
           out->nulls[k] = 1;
           continue;
         }
-        int64_t a = lv_.I64At(k), b = rv_.I64At(k);
-        switch (op_) {
-          case ArithOp::kAdd:
-            out->i64[k] = a + b;
-            break;
-          case ArithOp::kSub:
-            out->i64[k] = a - b;
-            break;
-          case ArithOp::kMul:
-            out->i64[k] = a * b;
-            break;
-          case ArithOp::kDiv:
-            if (b == 0) {
-              out->nulls[k] = 1;
-            } else {
-              out->i64[k] = a / b;
-            }
-            break;
-          case ArithOp::kMod:
-            if (b == 0) {
-              out->nulls[k] = 1;
-            } else {
-              out->i64[k] = a % b;
-            }
-            break;
+        IntArithStatus st = CheckedIntArith(op_, lv_.I64At(k), rv_.I64At(k), &out->i64[k]);
+        if (st == IntArithStatus::kNull) out->nulls[k] = 1;
+        if (st == IntArithStatus::kOverflow) {
+          return Status::OutOfRange("integer overflow in " + src_->ToString());
         }
       }
       return Status::OK();
@@ -372,31 +351,15 @@ class ArithNode final : public CompiledExpr {
         return Status::TypeError("arithmetic on non-numeric operand in " + src_->ToString());
       }
       if (l.type() == TypeId::kInt64 && r.type() == TypeId::kInt64) {
-        int64_t a = l.AsInt(), b = r.AsInt();
-        switch (op_) {
-          case ArithOp::kAdd:
-            out->vals[k] = Value::Int(a + b);
-            break;
-          case ArithOp::kSub:
-            out->vals[k] = Value::Int(a - b);
-            break;
-          case ArithOp::kMul:
-            out->vals[k] = Value::Int(a * b);
-            break;
-          case ArithOp::kDiv:
-            if (b == 0) {
-              out->nulls[k] = 1;
-            } else {
-              out->vals[k] = Value::Int(a / b);
-            }
-            break;
-          case ArithOp::kMod:
-            if (b == 0) {
-              out->nulls[k] = 1;
-            } else {
-              out->vals[k] = Value::Int(a % b);
-            }
-            break;
+        int64_t v = 0;
+        IntArithStatus st = CheckedIntArith(op_, l.AsInt(), r.AsInt(), &v);
+        if (st == IntArithStatus::kOverflow) {
+          return Status::OutOfRange("integer overflow in " + src_->ToString());
+        }
+        if (st == IntArithStatus::kNull) {
+          out->nulls[k] = 1;
+        } else {
+          out->vals[k] = Value::Int(v);
         }
         continue;
       }

@@ -176,7 +176,7 @@ class SortKeyEncoder {
 /// \brief Batch join-key encoding: computes the composite encoded key of
 /// every selected row over fixed key columns in one tight loop. Rows with a
 /// NULL key column get nullopt (NULL never matches an equi join). Matches
-/// JoinKeyOf (exec/hash_join.h) byte for byte; key strings are reused.
+/// JoinKeyOf (exec/hash_join.cc) byte for byte; key strings are reused.
 Status ComputeJoinKeys(const TupleBatch& batch, const std::vector<size_t>& key_cols,
                        std::vector<std::optional<std::string>>* keys);
 

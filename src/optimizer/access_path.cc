@@ -222,7 +222,9 @@ Result<PhysicalPtr> BuildAccessPathPlan(const QueryGraph& graph, const AccessPat
   if (path.index == nullptr) {
     PhysicalPtr scan =
         std::make_unique<PhysSeqScan>(rel.table->name(), rel.alias, rel.schema);
-    scan->SetEstimates(path.out_rows, path.cost);
+    // Under a residual Filter the scan emits the whole relation; the Filter
+    // carries the post-predicate estimate.
+    scan->SetEstimates(residual_expr ? StatsOf(rel).rows : path.out_rows, path.cost);
     if (residual_expr) {
       PhysicalPtr filter =
           std::make_unique<PhysFilter>(std::move(scan), std::move(residual_expr));

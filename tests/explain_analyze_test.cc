@@ -120,6 +120,24 @@ TEST(ExplainAnalyzeTest, QErrorReflectsStaleStatistics) {
   EXPECT_LT(profile.root.q_error(), 20.0);
 }
 
+TEST(ExplainAnalyzeTest, SeqScanUnderFilterEstimatesItsOwnOutput) {
+  Database db;
+  tu::LoadEmpDept(&db, 1000, 20);
+  QueryResult r = Sql(&db, "SELECT id FROM emp WHERE dept_id = 7");
+  ASSERT_EQ(r.rows.size(), 50u);
+  const PlanProfile& profile = db.last_profile();
+  ASSERT_TRUE(profile.valid);
+  // The scan emits every row and is estimated so; the Filter above it
+  // carries the post-predicate estimate.
+  const OperatorProfile* node = &profile.root;
+  while (node->op != "SeqScan") {
+    ASSERT_EQ(node->children.size(), 1u) << node->op;
+    node = &node->children[0];
+  }
+  EXPECT_EQ(node->stats.rows_produced, 1000u);
+  EXPECT_DOUBLE_EQ(node->q_error(), 1.0);
+}
+
 TEST(ExplainAnalyzeTest, QErrorHelperIsSymmetricAndClamped) {
   EXPECT_DOUBLE_EQ(QError(10, 100), 10.0);
   EXPECT_DOUBLE_EQ(QError(100, 10), 10.0);

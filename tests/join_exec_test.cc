@@ -151,38 +151,73 @@ TEST_F(JoinExecTest, HashJoinNullKeysNeverMatch) {
 }
 
 TEST_F(JoinExecTest, GraceHashJoinSpillsAndMatches) {
-  // A pool this small forces the Grace path (operator memory = 1 page).
-  DiskManager disk;
-  BufferPool pool(&disk, 9);
-  Catalog catalog(&pool);
-  ExecContext ctx(&catalog, &pool);
+  struct Run {
+    size_t rows = 0;
+    uint64_t page_reads = 0;
+    uint64_t page_writes = 0;
+    uint64_t fallback_rows = 0;
+  };
+  // Joins a table with itself through a pool this small that the Grace path
+  // runs (operator memory = 1 page); batch_size 0 drives the whole plan
+  // through Next, otherwise through NextBatch.
+  auto run = [](size_t batch_size) {
+    DiskManager disk;
+    BufferPool pool(&disk, 9);
+    Catalog catalog(&pool);
+    ExecContext ctx(&catalog, &pool, nullptr, 1, batch_size);
 
-  Schema big;
-  big.AddColumn(Column("k", TypeId::kInt64, "big"));
-  big.AddColumn(Column("pad", TypeId::kString, "big"));
-  TableInfo* big_table = *catalog.CreateTable("big", big);
-  for (int i = 0; i < 500; ++i) {
-    ASSERT_TRUE(catalog
-                    .InsertTuple(big_table, Tuple({Value::Int(i % 50),
-                                                   Value::String(std::string(100, 'x'))}))
-                    .ok());
-  }
-  auto scan1 = std::make_unique<SeqScanExecutor>(&ctx, big_table->schema(), big_table);
-  auto scan2 = std::make_unique<SeqScanExecutor>(&ctx, big_table->schema(), big_table);
-  HashJoinExecutor join(&ctx, std::move(scan1), std::move(scan2), {0}, {0}, nullptr, false);
-  ASSERT_TRUE(join.Init().ok());
-  size_t count = 0;
-  Tuple t;
-  while (true) {
-    Result<bool> has = join.Next(&t);
-    ASSERT_TRUE(has.ok()) << has.status().ToString();
-    if (!*has) break;
-    ++count;
-  }
+    Schema big;
+    big.AddColumn(Column("k", TypeId::kInt64, "big"));
+    big.AddColumn(Column("pad", TypeId::kString, "big"));
+    TableInfo* big_table = *catalog.CreateTable("big", big);
+    for (int i = 0; i < 500; ++i) {
+      EXPECT_TRUE(catalog
+                      .InsertTuple(big_table, Tuple({Value::Int(i % 50),
+                                                     Value::String(std::string(100, 'x'))}))
+                      .ok());
+    }
+    auto scan1 = std::make_unique<SeqScanExecutor>(&ctx, big_table->schema(), big_table);
+    auto scan2 = std::make_unique<SeqScanExecutor>(&ctx, big_table->schema(), big_table);
+    HashJoinExecutor join(&ctx, std::move(scan1), std::move(scan2), {0}, {0}, nullptr, false);
+    const IoStats before = disk.stats();
+    Run r;
+    EXPECT_TRUE(join.Init().ok());
+    if (batch_size == 0) {
+      Tuple t;
+      while (true) {
+        Result<bool> has = join.Next(&t);
+        EXPECT_TRUE(has.ok()) << has.status().ToString();
+        if (!has.ok() || !*has) break;
+        ++r.rows;
+      }
+    } else {
+      TupleBatch batch(batch_size);
+      while (true) {
+        Result<bool> has = join.NextBatch(&batch);
+        EXPECT_TRUE(has.ok()) << has.status().ToString();
+        if (!has.ok()) break;
+        r.rows += batch.NumSelected();
+        if (!*has) break;
+      }
+    }
+    r.page_reads = disk.stats().page_reads - before.page_reads;
+    r.page_writes = disk.stats().page_writes - before.page_writes;
+    r.fallback_rows = join.stats().fallback_rows;
+    return r;
+  };
+
+  Run row = run(0);
   // 50 keys x 10 rows each side -> 50 * 10 * 10.
-  EXPECT_EQ(count, 5000u);
+  EXPECT_EQ(row.rows, 5000u);
   // The spill really happened: scratch partition writes occurred.
-  EXPECT_GT(disk.stats().page_writes, 0u);
+  EXPECT_GT(row.page_writes, 0u);
+  for (size_t batch_size : {size_t{7}, TupleBatch::kDefaultCapacity}) {
+    Run batch = run(batch_size);
+    EXPECT_EQ(batch.rows, row.rows) << "batch_size " << batch_size;
+    EXPECT_EQ(batch.page_reads, row.page_reads) << "batch_size " << batch_size;
+    EXPECT_EQ(batch.page_writes, row.page_writes) << "batch_size " << batch_size;
+    EXPECT_EQ(batch.fallback_rows, 0u) << "batch_size " << batch_size;
+  }
 }
 
 TEST_F(JoinExecTest, SortMergeJoinOnSortedInputs) {

@@ -132,11 +132,16 @@ TEST_F(OptimizerTest, StatsModeFlagChangesEstimates) {
   PhysicalPtr hist_plan = Plan("SELECT count(*) FROM skewed WHERE z = 1");
   db_.options().optimizer.stats_mode = StatsMode::kSystemR;
   PhysicalPtr unif_plan = Plan("SELECT count(*) FROM skewed WHERE z = 1");
-  // The scan-level row estimates must differ materially.
-  const PhysicalNode* hist_scan = hist_plan.get();
-  while (!hist_scan->children().empty()) hist_scan = hist_scan->child(0);
-  const PhysicalNode* unif_scan = unif_plan.get();
-  while (!unif_scan->children().empty()) unif_scan = unif_scan->child(0);
+  // The row estimates of the node applying `z = 1` (the Filter over the
+  // scan; the scan itself emits the whole table) must differ materially.
+  auto filtered = [](const PhysicalNode* n) {
+    while (n->kind() != PhysicalNodeKind::kFilter && !n->children().empty()) n = n->child(0);
+    return n;
+  };
+  const PhysicalNode* hist_scan = filtered(hist_plan.get());
+  const PhysicalNode* unif_scan = filtered(unif_plan.get());
+  ASSERT_EQ(hist_scan->kind(), PhysicalNodeKind::kFilter) << hist_plan->ToString();
+  ASSERT_EQ(unif_scan->kind(), PhysicalNodeKind::kFilter) << unif_plan->ToString();
   EXPECT_GT(hist_scan->est_rows(), 2 * unif_scan->est_rows());
 }
 

@@ -30,6 +30,13 @@ struct TopoParam {
   int num_relations;
 };
 
+// Without a printer gtest shows the raw bytes of the struct, which include
+// the string literal's address and padding; that made the test names vary
+// from one process to the next.
+void PrintTo(const TopoParam& p, std::ostream* os) {
+  *os << p.topology << "_" << p.num_relations;
+}
+
 class TopologyAgreementTest : public ::testing::TestWithParam<TopoParam> {};
 
 TEST_P(TopologyAgreementTest, AllAlgorithmsAgree) {

@@ -37,6 +37,25 @@ class SqlEndToEndTest : public ::testing::Test {
   Database db_;
 };
 
+TEST(SqlArithmeticTest, Int64OverflowRaisesOutOfRangeInBothModes) {
+  Database db;
+  Sql(&db, "CREATE TABLE t (a INT)");
+  Sql(&db, "INSERT INTO t VALUES (-9223372036854775807)");
+  for (bool vectorized : {false, true}) {
+    db.set_vectorized(vectorized);
+    for (const char* sql : {"SELECT (a - 1) / -1 FROM t", "SELECT a * 9223372036854775807 FROM t",
+                            "SELECT a - 2 FROM t", "SELECT -1 - a - a FROM t"}) {
+      Result<QueryResult> r = db.Execute(sql);
+      ASSERT_FALSE(r.ok()) << sql << " vectorized=" << vectorized;
+      EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange) << sql << " vectorized=" << vectorized;
+    }
+    // INT64_MIN % -1 is 0, and in-range results are unchanged.
+    EXPECT_EQ(tu::IntCell(Sql(&db, "SELECT (a - 1) % -1 FROM t")), 0);
+    EXPECT_EQ(tu::IntCell(Sql(&db, "SELECT a / -1 FROM t")), 9223372036854775807);
+    EXPECT_EQ(tu::IntCell(Sql(&db, "SELECT a - 1 FROM t")), INT64_MIN);
+  }
+}
+
 TEST_F(SqlEndToEndTest, FilteredJoinAgreesWithNaive) {
   CheckAgainstNaive(
       "SELECT emp.name, dept.dname FROM emp, dept "
